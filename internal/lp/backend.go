@@ -12,9 +12,10 @@ const (
 	// It is the reference/fallback implementation.
 	Dense BackendKind = "dense"
 	// Sparse is the sparse revised simplex backend: columns are stored
-	// sparse and the basis inverse is kept in product form (an eta file
-	// with periodic refactorization), so per-pivot work scales with the
-	// number of nonzeros rather than the matrix dimensions.
+	// sparse and the basis is kept as a sparse LU factorization with
+	// product-form update etas on top (periodically refactorized), so
+	// per-pivot work scales with the number of nonzeros rather than the
+	// matrix dimensions.
 	Sparse BackendKind = "sparse"
 	// IPM is the interior-point backend: a Mehrotra predictor-corrector
 	// on the normal equations A·D·Aᵀ (sparse Cholesky kernel with a dense
@@ -220,12 +221,11 @@ func newResolvedBackend(kind BackendKind, p *Problem, ws *Workspace) (Backend, e
 	}
 	s := newSolverState(p, ws)
 	s.kind = kind
-	switch kind {
-	case Dense:
+	if kind == Dense {
 		s.inv = &denseInverse{}
-	default:
-		s.inv = &etaFile{}
+		s.inv.reset(s.sf.m)
+	} else {
+		s.inv = ws.sparseRep(s.sf.m)
 	}
-	s.inv.reset(s.sf.m)
 	return s, nil
 }

@@ -5,11 +5,13 @@ package lp
 // transform to every row. It never needs refactorization (the inverse is
 // maintained directly) but pays dimension-proportional cost on every
 // operation regardless of sparsity — which is exactly why the sparse
-// revised backend exists.
+// revised backend exists. A basis transplant (factor) goes through the
+// same sparse LU as the sparse backend, then expands B⁻¹ column by column.
 type denseInverse struct {
 	m    int
 	binv []float64 // row-major m×m
 	tmp  []float64 // ftran scratch
+	lu   luFactor
 }
 
 func (d *denseInverse) reset(m int) {
@@ -96,10 +98,28 @@ func (d *denseInverse) update(r int, w []float64) {
 	}
 }
 
-func (d *denseInverse) shouldRefactor() bool { return false }
-func (d *denseInverse) markRefactored()      {}
+func (d *denseInverse) factor(sf *standardForm, cols, rowOf []int, ws *Workspace) error {
+	if err := d.lu.factorize(sf, cols, rowOf, &ws.luSc); err != nil {
+		return err
+	}
+	m := d.m
+	col := d.tmp[:m]
+	for k := 0; k < m; k++ {
+		for i := range col {
+			col[i] = 0
+		}
+		col[k] = 1
+		d.lu.ftran(col)
+		for i, v := range col {
+			d.binv[i*m+k] = v
+		}
+	}
+	return nil
+}
 
-func (d *denseInverse) clone() basisRep {
+func (d *denseInverse) shouldRefactor() bool { return false }
+
+func (d *denseInverse) clone(*Workspace) basisRep {
 	return &denseInverse{
 		m:    d.m,
 		binv: append([]float64(nil), d.binv...),

@@ -39,8 +39,7 @@ type ipmState struct {
 func newIPMState(p *Problem, ws *Workspace) *ipmState {
 	s := newSolverState(p, ws)
 	s.kind = Sparse
-	s.inv = &etaFile{}
-	s.inv.reset(s.sf.m)
+	s.inv = ws.sparseRep(s.sf.m)
 	ip := &ipmState{sim: s}
 	if s.sf.m == 0 || s.sf.nv == 0 {
 		ip.crossed = true // nothing for an IPM to do on a trivial shape

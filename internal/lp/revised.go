@@ -7,10 +7,10 @@ import (
 
 // solverState is the revised simplex core shared by every Backend: a
 // bounded-variable simplex method over the canonical standard form, driven
-// through a basisRep (dense explicit inverse or sparse eta file). It keeps
-// the basis, the nonbasic statuses and the factorization alive between
-// Solve calls, which is what makes warm re-solving after SetRHS /
-// SetVarUpper mutations cheap:
+// through a basisRep (dense explicit inverse, or sparse LU with update
+// etas). It keeps the basis, the nonbasic statuses and the factorization
+// alive between Solve calls, which is what makes warm re-solving after
+// SetRHS / SetVarUpper mutations cheap:
 //
 //   - a cold Solve runs a bound-violation composite phase 1 (no artificial
 //     variables: the all-slack basis is always factorizable and basics are
@@ -94,7 +94,7 @@ func (s *solverState) Clone() Backend {
 	c.sf.copyFrom(&s.sf, c.ws)
 	c.basis = append([]int(nil), s.basis...)
 	c.status = append([]varStatus(nil), s.status...)
-	c.inv = s.inv.clone()
+	c.inv = s.inv.clone(c.ws)
 	return c
 }
 
@@ -197,8 +197,11 @@ func (s *solverState) solve() (*Solution, error) {
 	}
 	s.dualOK = false
 
+	// Every error return leaves the backend cold-reset: the basis it
+	// failed on must not seed the next Solve.
 	st, err := s.primal(false, maxIters)
 	if err != nil {
+		s.coldReset()
 		return nil, err
 	}
 	if st == Infeasible {
@@ -206,6 +209,7 @@ func (s *solverState) solve() (*Solution, error) {
 	}
 	st, err = s.primal(true, maxIters)
 	if err != nil {
+		s.coldReset()
 		return nil, err
 	}
 	if st == Unbounded {
@@ -246,225 +250,22 @@ func (s *solverState) computeXB() {
 	copy(s.xB, rhsEff)
 }
 
-// refactorPivRel is the relative threshold of the sparsity-driven pivot
-// preference: a structurally chosen pivot row is accepted when its
-// magnitude is within this factor of the numerically best live pivot
-// (standard Markowitz threshold pivoting).
-const refactorPivRel = 0.1
-
 // refactor rebuilds the basis representation from scratch for the current
-// basic column set, in a Markowitz-style ordering. In the product-form
-// inverse, fill is created exactly when a placed column carries entries in
-// the pivot rows of earlier placements — every retired row costs one
-// future hit per live column that touches it — so the pass works to keep
-// pivot rows out of live columns' patterns:
-//
-//   - row singletons first: whenever some live row is hit by exactly one
-//     unplaced column, that column is placed with that row as preferred
-//     pivot. A chain of such placements is a permuted triangle and
-//     factorizes with zero fill, and the retired row can never hit anyone.
-//   - otherwise the sparsest remaining column enters (the same
-//     sparsest-first heuristic the previous static sort.Slice computed,
-//     now a counting sort walked through count buckets), and the numeric
-//     pivot prefers the live row hit by the fewest live columns among
-//     those within refactorPivRel of the largest available magnitude
-//     (threshold pivoting), minimizing the hits the retirement mints.
-//
-// Row counts update in O(1) per retired pattern entry through a row→column
-// CSR of the basic pattern, and the numeric scan walks only the shrinking
-// unpivoted-row set (the former full-row scan per column was the
-// refactorization's O(m²) hot spot).
+// basic column set (see luFactor.factorize for the sparse LU). The
+// factorization decides which row each basic column is pivoted in, and
+// that row assignment is committed to basis only on success: a singular
+// basis leaves basis, status and the representation exactly as they were.
 func (s *solverState) refactor() error {
 	m := s.sf.m
 	cols := growInt(&s.ws.newBasis, m)
 	copy(cols, s.basis)
-
-	// cnt[i] = stored nonzeros of column cols[i] (CSC duplicates count with
-	// multiplicity, in step with the row CSR below). −1 marks placed.
-	cnt := growInt(&s.ws.cnt, m)
-	maxCnt, nnz := 0, 0
+	rowOf := growInt(&s.ws.rowOf, m)
+	if err := s.inv.factor(&s.sf, cols, rowOf, s.ws); err != nil {
+		return err
+	}
 	for i, j := range cols {
-		c := s.sf.colNNZ(j)
-		cnt[i] = c
-		nnz += c
-		if c > maxCnt {
-			maxCnt = c
-		}
+		s.basis[rowOf[i]] = j
 	}
-	// Row → column-position CSR over the basic pattern, so retiring a pivot
-	// row decrements exactly the columns it touches (and vice versa).
-	rowPtr := growI32(&s.ws.rowPtr, m+1)
-	for r := range rowPtr {
-		rowPtr[r] = 0
-	}
-	for _, j := range cols {
-		if j >= s.sf.nv {
-			rowPtr[j-s.sf.nv+1]++
-			continue
-		}
-		for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
-			rowPtr[s.sf.colRow[k]+1]++
-		}
-	}
-	for r := 0; r < m; r++ {
-		rowPtr[r+1] += rowPtr[r]
-	}
-	rowCol := growI32(&s.ws.rowCol, nnz)
-	fill := growI32(&s.ws.rowFill, m)
-	copy(fill, rowPtr[:m])
-	for i, j := range cols {
-		if j >= s.sf.nv {
-			r := j - s.sf.nv
-			rowCol[fill[r]] = int32(i)
-			fill[r]++
-			continue
-		}
-		for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
-			r := s.sf.colRow[k]
-			rowCol[fill[r]] = int32(i)
-			fill[r]++
-		}
-	}
-	// Live-column count per row; rows whose count drops to 1 are singleton
-	// candidates (re-checked at pop: counts keep moving). −1 marks retired.
-	rc := growInt(&s.ws.rc, m)
-	stack := s.ws.rowStack[:0]
-	for r := 0; r < m; r++ {
-		rc[r] = int(rowPtr[r+1] - rowPtr[r])
-		if rc[r] == 1 {
-			stack = append(stack, r)
-		}
-	}
-
-	// Sparsest-first fallback order: a counting sort of the columns by
-	// nonzero count, walked through singly-linked count buckets (bhead[c]
-	// chains the columns with exactly c nonzeros; placed columns are
-	// skipped by their cnt mark as the walk passes them).
-	bhead := growInt(&s.ws.bhead, maxCnt+1)
-	for c := range bhead {
-		bhead[c] = -1
-	}
-	bnext := growInt(&s.ws.bnext, m)
-	for i := m - 1; i >= 0; i-- {
-		c := cnt[i]
-		bnext[i] = bhead[c]
-		bhead[c] = i
-	}
-
-	// The unpivoted-row set for the numeric pivot scan (swap-remove).
-	unrows := growInt(&s.ws.unrows, m)
-	rowIdx := growInt(&s.ws.rowIdx, m)
-	for r := 0; r < m; r++ {
-		unrows[r] = r
-		rowIdx[r] = r
-	}
-	nun := m
-
-	// dropRow retires one pattern entry of a placed column: its row loses a
-	// live column, minting a singleton candidate at count 1.
-	dropRow := func(r int32) {
-		if rc[r] > 0 {
-			if rc[r]--; rc[r] == 1 {
-				stack = append(stack, int(r))
-			}
-		}
-	}
-
-	w := growF(&s.ws.w, m)
-	s.inv.reset(m)
-	cur := 0
-	for placed := 0; placed < m; placed++ {
-		// Selection: a row singleton when one exists, else the sparsest
-		// unplaced column from the counting-sort walk.
-		i := -1
-		for len(stack) > 0 {
-			r := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if rc[r] != 1 {
-				continue // count moved on or row retired since the push
-			}
-			for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
-				if ci := int(rowCol[k]); cnt[ci] >= 0 {
-					i = ci
-					break
-				}
-			}
-			if i >= 0 {
-				break
-			}
-		}
-		if i < 0 {
-			for {
-				for bhead[cur] >= 0 && cnt[bhead[cur]] < 0 {
-					bhead[cur] = bnext[bhead[cur]] // shed singleton-placed columns
-				}
-				if bhead[cur] >= 0 {
-					break
-				}
-				cur++
-			}
-			i = bhead[cur]
-			bhead[cur] = bnext[i]
-		}
-		j := cols[i]
-		// Retire the column structurally: rows it touched lose one live
-		// column.
-		if j >= s.sf.nv {
-			dropRow(int32(j - s.sf.nv))
-		} else {
-			for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
-				dropRow(s.sf.colRow[k])
-			}
-		}
-		cnt[i] = -1
-		for k := range w {
-			w[k] = 0
-		}
-		s.sf.scatterColumn(j, 1, w)
-		s.inv.ftran(w)
-		// Numerically largest live pivot first; then, among live rows
-		// within refactorPivRel of it, the row hit by the fewest live
-		// columns (larger magnitude breaks ties) — the retirement then
-		// mints the fewest future hits. A singleton-selected column finds
-		// its rc=1 row here without special-casing, numerics permitting.
-		maxAbs := 0.0
-		for t := 0; t < nun; t++ {
-			if a := math.Abs(w[unrows[t]]); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		if maxAbs <= 1e-10 {
-			return fmt.Errorf("lp: singular basis (column %d)", j)
-		}
-		floor := refactorPivRel * maxAbs
-		if floor < 1e-10 {
-			floor = 1e-10
-		}
-		best, bestAbs, bestRC := -1, 0.0, 0
-		for t := 0; t < nun; t++ {
-			r := unrows[t]
-			a := math.Abs(w[r])
-			if a < floor {
-				continue
-			}
-			// rc can be 0 here: eta fill made w[r] nonzero in a row no live
-			// column's static pattern touches — the ideal pivot.
-			if c := rc[r]; best < 0 || c < bestRC || (c == bestRC && a > bestAbs) {
-				best, bestAbs, bestRC = r, a, c
-			}
-		}
-		s.basis[best] = j
-		s.inv.update(best, w)
-		// Retire row best from the scan set and the live counts.
-		nun--
-		pos := rowIdx[best]
-		last := unrows[nun]
-		unrows[pos] = last
-		rowIdx[last] = pos
-		rc[best] = -1
-	}
-	s.ws.rowStack = stack[:0]
-	s.inv.markRefactored()
 	return nil
 }
 

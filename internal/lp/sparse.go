@@ -153,11 +153,17 @@ func (sf *standardForm) objAt(j int) float64 {
 }
 
 // basisRep abstracts the representation of the basis inverse B⁻¹. The
-// solver core drives it through four operations; the dense backend keeps an
-// explicit m×m inverse, the sparse backend a product-form eta file.
+// solver core drives it through these operations; the dense backend keeps
+// an explicit m×m inverse, the sparse backend an LU factorization with
+// product-form update etas on top.
 type basisRep interface {
 	// reset reinstalls the identity (the all-slack basis).
 	reset(m int)
+	// factor rebuilds the representation from scratch for the basis whose
+	// columns are cols, and writes the row each cols[i] is now basic in to
+	// rowOf[i]. On error (a singular basis) the representation is left
+	// as it was.
+	factor(sf *standardForm, cols, rowOf []int, ws *Workspace) error
 	// ftran overwrites v with B⁻¹·v.
 	ftran(v []float64)
 	// btran overwrites y with yᵀ·B⁻¹ (y is treated as a row vector).
@@ -168,24 +174,23 @@ type basisRep interface {
 	// current basis coordinates, is w (so w[r] is the pivot element).
 	update(r int, w []float64)
 	// shouldRefactor reports that the representation has grown stale
-	// (e.g. the eta file is long) and a refactorization would pay off.
+	// and a refactorization would pay off.
 	shouldRefactor() bool
-	// markRefactored tells the representation that the updates applied
-	// since the last reset constitute a fresh factorization (so its size
-	// is the new staleness baseline, not accumulated churn).
-	markRefactored()
-	// clone returns an independent deep copy: applying updates to either
-	// copy never perturbs the other (Backend.Clone's substrate).
-	clone() basisRep
+	// clone returns an independent deep copy backed by ws: applying
+	// updates to either copy never perturbs the other (Backend.Clone's
+	// substrate).
+	clone(ws *Workspace) basisRep
 }
 
 // etaDropTol drops negligible eta entries; values this small are far below
 // the solver's pivot tolerance and only bloat the file.
 const etaDropTol = 1e-13
 
-// etaFile is the product-form inverse: B⁻¹ = E_K···E_1 where each eta
-// matrix E is the identity with column pivRow replaced by the stored
-// entries. ftran applies etas oldest→newest, btran newest→oldest.
+// etaFile is a product-form inverse: E_K···E_1 where each eta matrix E is
+// the identity with column pivRow replaced by the stored entries. ftran
+// applies etas oldest→newest, btran newest→oldest. It is the update file
+// of the sparse backend's luBasis, and the IPM crossover's incremental
+// independence test.
 type etaFile struct {
 	m      int
 	pivRow []int32
@@ -193,13 +198,6 @@ type etaFile struct {
 	idx    []int32
 	val    []float64
 	nnz    int
-
-	// Refactorization baseline: the file size right after the last
-	// refactorization. A large basis legitimately factorizes into a large
-	// file, so staleness is measured relative to it, not absolutely —
-	// otherwise refactoring could re-trigger itself forever.
-	baseNNZ  int
-	baseEtas int
 }
 
 func (e *etaFile) reset(m int) {
@@ -209,8 +207,14 @@ func (e *etaFile) reset(m int) {
 	e.idx = e.idx[:0]
 	e.val = e.val[:0]
 	e.nnz = 0
-	e.baseNNZ = 0
-	e.baseEtas = 0
+}
+
+func (e *etaFile) copyFrom(src *etaFile) {
+	e.m, e.nnz = src.m, src.nnz
+	e.pivRow = append(e.pivRow[:0], src.pivRow...)
+	e.start = append(e.start[:0], src.start...)
+	e.idx = append(e.idx[:0], src.idx...)
+	e.val = append(e.val[:0], src.val...)
 }
 
 func (e *etaFile) ftran(v []float64) {
@@ -237,14 +241,6 @@ func (e *etaFile) btran(y []float64) {
 	}
 }
 
-func (e *etaFile) btranUnit(r int, y []float64) {
-	for i := range y {
-		y[i] = 0
-	}
-	y[r] = 1
-	e.btran(y)
-}
-
 func (e *etaFile) update(r int, w []float64) {
 	inv := 1 / w[r]
 	e.pivRow = append(e.pivRow, int32(r))
@@ -267,31 +263,74 @@ func (e *etaFile) update(r int, w []float64) {
 	e.start = append(e.start, int32(len(e.idx)))
 }
 
-func (e *etaFile) shouldRefactor() bool {
-	// Refactorizing replays one ftran+update per basic column; it pays off
-	// once the accumulated churn (file growth beyond the post-refactor
-	// baseline) costs several times a fresh factorization, and is pointless
-	// before a meaningful number of pivots has accumulated.
-	if len(e.pivRow)-e.baseEtas < 64 {
-		return false
-	}
-	return e.nnz > 2*e.baseNNZ+4*e.m+1024
+// luRefactorRatio is the sparse backend's refactorization trigger: it
+// refactorizes once the update etas hold this many times the factor's
+// nonzeros. Every ftran and btran pays for the factor and the etas, and
+// a refactorization costs a few dozen of them, so eta work saved balances
+// refactorizations paid at a small multiple: on the online-stream bases
+// (≈370 eta nonzeros per pivot) 1–4 measured alike and 8 clearly slower.
+const luRefactorRatio = 2
+
+// luBasis is the sparse backend's basis representation: a sparse LU
+// factorization of the basis at the last refactorization, with the
+// product-form etas of every pivot since, B⁻¹ = E_k···E_1·U⁻¹L⁻¹. It lives
+// in the Workspace, so a backend rebuilt on a reused Workspace reuses the
+// factor and eta storage. fac[cur] is the live factor; a refactorization
+// factors into the other and swaps only on success.
+type luBasis struct {
+	fac [2]luFactor
+	cur int
+	eta etaFile
 }
 
-func (e *etaFile) markRefactored() {
-	e.baseNNZ = e.nnz
-	e.baseEtas = len(e.pivRow)
+// sparseRep returns ws's luBasis, reset to the identity for m rows.
+func (ws *Workspace) sparseRep(m int) *luBasis {
+	ws.lu.reset(m)
+	return &ws.lu
 }
 
-func (e *etaFile) clone() basisRep {
-	return &etaFile{
-		m:        e.m,
-		pivRow:   append([]int32(nil), e.pivRow...),
-		start:    append([]int32(nil), e.start...),
-		idx:      append([]int32(nil), e.idx...),
-		val:      append([]float64(nil), e.val...),
-		nnz:      e.nnz,
-		baseNNZ:  e.baseNNZ,
-		baseEtas: e.baseEtas,
+func (b *luBasis) reset(m int) {
+	b.fac[b.cur].identity(m)
+	b.eta.reset(m)
+}
+
+func (b *luBasis) factor(sf *standardForm, cols, rowOf []int, ws *Workspace) error {
+	if err := b.fac[1-b.cur].factorize(sf, cols, rowOf, &ws.luSc); err != nil {
+		return err
 	}
+	b.cur = 1 - b.cur
+	b.eta.reset(sf.m)
+	return nil
+}
+
+func (b *luBasis) ftran(v []float64) {
+	b.fac[b.cur].ftran(v)
+	b.eta.ftran(v)
+}
+
+func (b *luBasis) btran(y []float64) {
+	b.eta.btran(y)
+	b.fac[b.cur].btran(y)
+}
+
+func (b *luBasis) btranUnit(r int, y []float64) {
+	for i := range y {
+		y[i] = 0
+	}
+	y[r] = 1
+	b.btran(y)
+}
+
+func (b *luBasis) update(r int, w []float64) { b.eta.update(r, w) }
+
+func (b *luBasis) shouldRefactor() bool {
+	return b.eta.nnz > luRefactorRatio*b.fac[b.cur].nnz()
+}
+
+func (b *luBasis) clone(ws *Workspace) basisRep {
+	c := &ws.lu
+	c.cur = 0
+	c.fac[0].copyFrom(&b.fac[b.cur])
+	c.eta.copyFrom(&b.eta)
+	return c
 }

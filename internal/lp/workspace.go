@@ -1,9 +1,10 @@
 package lp
 
-// Workspace holds every per-solve scratch buffer a backend needs — work
-// vectors, the standard-form arrays, refactorization marks, the solution
-// vector — as grow-only slices, so that building a backend and re-solving
-// it repeatedly allocates (almost) nothing after the first use. A
+// Workspace holds every per-solve buffer a backend needs — work vectors,
+// the standard-form arrays, the sparse basis factorization and its update
+// etas, refactorization scratch, the solution vector — as grow-only
+// slices, so that building a backend and re-solving it repeatedly
+// allocates (almost) nothing after the first use. A
 // Workspace can be handed to successive NewBackend calls (e.g. one per
 // makespan guess, or a cold rebuild after a warm-start failure) to recycle
 // the memory across problem instances of similar shape.
@@ -19,24 +20,24 @@ type Workspace struct {
 	xB, w, y, rho, rhsEff, cB []float64
 	// solution output (nv)
 	x []float64
-	// refactorization scratch: the basic column set, its residual pattern
-	// counts and count-bucket links, the unpivoted-row scan set, and the
-	// row→column CSR of the basic pattern.
-	newBasis                []int
-	cnt, bhead, bnext       []int
-	unrows, rowIdx          []int
-	rc, rowStack            []int
-	rowPtr, rowCol, rowFill []int32
+	// refactorization scratch: the basic column set and the row each is
+	// pivoted in
+	newBasis, rowOf []int
+	luSc            luScratch
+	// the sparse backend's basis representation (LU factor + update etas)
+	lu luBasis
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// growF resizes *s to n, reallocating only when capacity is exceeded.
-// Contents are unspecified (callers overwrite).
+// growF resizes *s to n, reallocating only when capacity is exceeded (to
+// at least double the old capacity, so a buffer whose size creeps up from
+// call to call reallocates O(log) times). Contents are unspecified
+// (callers overwrite).
 func growF(s *[]float64, n int) []float64 {
 	if cap(*s) < n {
-		*s = make([]float64, n)
+		*s = make([]float64, n, max(n, 2*cap(*s)))
 	}
 	*s = (*s)[:n]
 	return *s
@@ -44,7 +45,7 @@ func growF(s *[]float64, n int) []float64 {
 
 func growI32(s *[]int32, n int) []int32 {
 	if cap(*s) < n {
-		*s = make([]int32, n)
+		*s = make([]int32, n, max(n, 2*cap(*s)))
 	}
 	*s = (*s)[:n]
 	return *s
@@ -52,7 +53,7 @@ func growI32(s *[]int32, n int) []int32 {
 
 func growInt(s *[]int, n int) []int {
 	if cap(*s) < n {
-		*s = make([]int, n)
+		*s = make([]int, n, max(n, 2*cap(*s)))
 	}
 	*s = (*s)[:n]
 	return *s
