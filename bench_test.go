@@ -288,6 +288,51 @@ func BenchmarkColdBuildLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmTrajectoryLarge is the warm LP trajectory of the dual
+// search on the large unrelated anchor (instgen -kind unrelated -n 200
+// -m 20 -k 12 -seed 1): a fresh relaxation built at the greedy upper
+// bound on the sparse backend (presolve on) and solved there, then eight
+// bisection guesses of ReSolve below it — nine guesses, no rounding. It
+// reports the trajectory's simplex pivots (pivots/op) and the wall time
+// per guess (ns/guess).
+func BenchmarkWarmTrajectoryLarge(b *testing.B) {
+	in := gen.Unrelated(rand.New(rand.NewSource(1)), gen.Params{N: 200, M: 20, K: 12})
+	g, err := baseline.Greedy(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ub := g.Makespan(in)
+	const guesses = 9
+	pivots := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rel, err := rounding.NewRelaxation(in, rounding.RelaxationConfig{Envelope: ub, Backend: lp.Sparse})
+		if err != nil {
+			b.Fatal(err)
+		}
+		lo, hi := 0.0, ub
+		if f, err := rel.ReSolve(hi); err != nil || f == nil {
+			b.Fatalf("envelope guess: %v (feasible %v)", err, f != nil)
+		}
+		for k := 1; k < guesses; k++ {
+			T := (lo + hi) / 2
+			f, err := rel.ReSolve(T)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if f != nil {
+				hi = T
+			} else {
+				lo = T
+			}
+		}
+		pivots += rel.Iterations()
+	}
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(guesses*b.N), "ns/guess")
+}
+
 // benchDualSearch runs the full randomized-rounding dual search (greedy
 // bootstrap, one relaxation build, warm per-guess LP re-solves, rounding)
 // at the M=10/N=100/K=8 reference shape with the given speculative search

@@ -12,8 +12,8 @@ const (
 	// It is the reference/fallback implementation.
 	Dense BackendKind = "dense"
 	// Sparse is the sparse revised simplex backend: columns are stored
-	// sparse and the basis is kept as a sparse LU factorization with
-	// product-form update etas on top (periodically refactorized), so
+	// sparse and the basis is kept as a sparse LU factorization updated
+	// in place by Forrest–Tomlin updates (periodically refactorized), so
 	// per-pivot work scales with the number of nonzeros rather than the
 	// matrix dimensions.
 	Sparse BackendKind = "sparse"

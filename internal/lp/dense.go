@@ -53,6 +53,11 @@ func (d *denseInverse) ftran(v []float64) {
 	copy(v, z)
 }
 
+func (d *denseInverse) ftranColumn(sf *standardForm, j int, w []float64) {
+	sf.loadColumn(j, w)
+	d.ftran(w)
+}
+
 func (d *denseInverse) btran(y []float64) {
 	m := d.m
 	z := d.tmp[:m]
@@ -109,7 +114,7 @@ func (d *denseInverse) factor(sf *standardForm, cols, rowOf []int, ws *Workspace
 			col[i] = 0
 		}
 		col[k] = 1
-		d.lu.ftran(col)
+		d.lu.ftran(col, nil)
 		for i, v := range col {
 			d.binv[i*m+k] = v
 		}

@@ -72,13 +72,16 @@ func basisMatrix(sf *standardForm, basis []int) []float64 {
 
 // kernelCase pairs the sparse LU representation of a basis with a dense
 // reference inverse of the same basis, and drives both through the same
-// basis changes.
+// basis changes: Forrest–Tomlin updates on the LU side, explicit-inverse
+// updates on the reference side.
 type kernelCase struct {
-	sf      *standardForm
-	lu      basisRep
-	ref     *denseInverse
-	basis   []int
-	inBasis []bool
+	sf        *standardForm
+	ws        *Workspace
+	lu        *luBasis
+	ref       *denseInverse
+	basis     []int
+	inBasis   []bool
+	refactors int // refactorizations forced by the stability check
 }
 
 // newKernelCase factorizes the basis cols; ok=false when the reference
@@ -110,7 +113,7 @@ func newKernelCase(sf *standardForm, cols []int) (kc *kernelCase, ok bool, err e
 	ref := &denseInverse{}
 	ref.reset(m)
 	copy(ref.binv, binv)
-	kc = &kernelCase{sf: sf, lu: lu, ref: ref, basis: basis, inBasis: make([]bool, sf.n)}
+	kc = &kernelCase{sf: sf, ws: ws, lu: lu, ref: ref, basis: basis, inBasis: make([]bool, sf.n)}
 	for _, j := range basis {
 		kc.inBasis[j] = true
 	}
@@ -120,13 +123,36 @@ func newKernelCase(sf *standardForm, cols []int) (kc *kernelCase, ok bool, err e
 // clone copies the case; the LU copy goes through basisRep.clone into a
 // fresh Workspace.
 func (kc *kernelCase) clone() *kernelCase {
+	ws := NewWorkspace()
 	return &kernelCase{
 		sf:      kc.sf,
-		lu:      kc.lu.clone(NewWorkspace()),
+		ws:      ws,
+		lu:      kc.lu.clone(ws).(*luBasis),
 		ref:     kc.ref.clone(nil).(*denseInverse),
 		basis:   append([]int(nil), kc.basis...),
 		inBasis: append([]bool(nil), kc.inBasis...),
 	}
+}
+
+// refactor rebuilds the LU from scratch for the current basis, as the
+// solver does when shouldRefactor asks for it, and takes the row
+// assignment it chose (rebuilding the reference for it).
+func (kc *kernelCase) refactor() error {
+	m := kc.sf.m
+	cols := append([]int(nil), kc.basis...)
+	rowOf := make([]int, m)
+	if err := kc.lu.factor(kc.sf, cols, rowOf, kc.ws); err != nil {
+		return fmt.Errorf("refactorization of a nonsingular basis failed: %v", err)
+	}
+	for i, j := range cols {
+		kc.basis[rowOf[i]] = j
+	}
+	binv := gaussJordanInverse(basisMatrix(kc.sf, kc.basis), m)
+	if binv == nil {
+		return fmt.Errorf("reference finds the updated basis singular")
+	}
+	copy(kc.ref.binv, binv)
+	return nil
 }
 
 // closeTo compares within 1e-9 relative to the reference's magnitude.
@@ -184,8 +210,12 @@ func (kc *kernelCase) check(rng *rand.Rand) error {
 }
 
 // step exchanges a random nonbasic column into the basis at the row of
-// its largest reference ftran entry, updating both representations.
-func (kc *kernelCase) step(rng *rand.Rand) error {
+// its largest reference ftran entry. The LU takes the entering column
+// through ftranColumn and a Forrest–Tomlin update, with tamper applied
+// to the w it is handed (nil: none); when the update fails its
+// stability check the LU is refactorized. The update cap and growth
+// trigger are ignored, so update chains run past them.
+func (kc *kernelCase) step(rng *rand.Rand, tamper func(r int, w []float64)) error {
 	m := kc.sf.m
 	w := make([]float64, m)
 	for try := 0; try < 50; try++ {
@@ -193,11 +223,7 @@ func (kc *kernelCase) step(rng *rand.Rand) error {
 		if kc.inBasis[j] {
 			continue
 		}
-		for i := range w {
-			w[i] = 0
-		}
-		kc.sf.scatterColumn(j, 1, w)
-		kc.ref.ftran(w)
+		kc.ref.ftranColumn(kc.sf, j, w)
 		r := 0
 		for i := range w {
 			if math.Abs(w[i]) > math.Abs(w[r]) {
@@ -207,11 +233,20 @@ func (kc *kernelCase) step(rng *rand.Rand) error {
 		if math.Abs(w[r]) < 1e-3 {
 			continue
 		}
-		kc.lu.update(r, append([]float64(nil), w...))
+		v := make([]float64, m)
+		kc.lu.ftranColumn(kc.sf, j, v)
+		if tamper != nil {
+			tamper(r, v)
+		}
+		kc.lu.update(r, v)
 		kc.ref.update(r, w)
 		kc.inBasis[kc.basis[r]] = false
 		kc.inBasis[j] = true
 		kc.basis[r] = j
+		if kc.lu.stale {
+			kc.refactors++
+			return kc.refactor()
+		}
 		return nil
 	}
 	return fmt.Errorf("no well-conditioned entering column found")
@@ -271,15 +306,15 @@ func schedShapeSF(rng *rand.Rand) (*standardForm, []int) {
 // TestLUKernelMatchesDenseInverse pins the LU kernel against an
 // independent dense inverse: on random sparse bases and on optimal bases
 // of scheduling-shaped LPs, ftran, btran and btranUnit must agree within
-// 1e-9 relative after 0…k product-form updates, singular bases must be
-// refused exactly when the reference finds them singular, and a clone
-// taken mid-sequence must stay correct while it and the original take
-// different updates concurrently (run under -race, this also shows the
-// two share no storage).
+// 1e-9 relative after each of 0…150 Forrest–Tomlin updates (past the
+// production update cap), singular bases must be refused exactly when the
+// reference finds them singular, and a clone taken mid-sequence must stay
+// correct while it and the original take different updates concurrently
+// (run under -race, this also shows the two share no storage).
 func TestLUKernelMatchesDenseInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	const updates = 24
-	cases, singular := 0, 0
+	const updates = 150
+	cases, singular, refactors := 0, 0, 0
 	for trial := 0; trial < 60; trial++ {
 		var kc *kernelCase
 		for try := 0; kc == nil && try < 20; try++ {
@@ -309,7 +344,7 @@ func TestLUKernelMatchesDenseInverse(t *testing.T) {
 				t.Fatalf("trial %d (m=%d) after %d updates: %v", trial, sf.m, k, err)
 			}
 			if k < updates/2 {
-				if err := kc.step(rng); err != nil {
+				if err := kc.step(rng, nil); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 			}
@@ -323,7 +358,7 @@ func TestLUKernelMatchesDenseInverse(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed))
 				for k := updates / 2; k < updates; k++ {
-					if err := c.step(rng); err != nil {
+					if err := c.step(rng, nil); err != nil {
 						t.Errorf("trial %d copy %d: %v", trial, i, err)
 						return
 					}
@@ -338,11 +373,63 @@ func TestLUKernelMatchesDenseInverse(t *testing.T) {
 		if t.Failed() {
 			return
 		}
+		refactors += pair[0].refactors + pair[1].refactors
 	}
 	if cases < 50 || singular == 0 {
 		t.Fatalf("corpus degenerated: %d factorized cases, %d singular", cases, singular)
 	}
-	t.Logf("%d bases factorized and updated, %d singular bases refused", cases, singular)
+	// A chain cut short by the stability check would test less than it
+	// claims: nearly every chain must run its 150 updates on one factor.
+	if refactors > cases/10 {
+		t.Errorf("%d stability refactorizations over %d update chains", refactors, 2*cases)
+	}
+	t.Logf("%d bases factorized and updated %d times, %d singular bases refused, %d stability refactorizations",
+		cases, updates, singular, refactors)
+}
+
+// TestLUUpdateStabilityFallback: an update whose Forrest–Tomlin diagonal
+// disagrees with w[r]·(old diagonal) — here because the pivot element it
+// is handed is off by 1% — must mark the factor for refactorization, and
+// the refactorized representation must match the reference. Untampered
+// updates of the same chains must pass the check.
+func TestLUUpdateStabilityFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	forced := 0
+	for trial := 0; trial < 20; trial++ {
+		sf, cols := randomSparseSF(rng)
+		kc, ok, err := newKernelCase(sf, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			continue
+		}
+		for k := 0; k < 30; k++ {
+			var tamper func(int, []float64)
+			if k%10 == 9 {
+				tamper = func(r int, w []float64) { w[r] *= 1.01 }
+			}
+			before := kc.refactors
+			if err := kc.step(rng, tamper); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, k, err)
+			}
+			if fell := kc.refactors > before; fell != (tamper != nil) {
+				t.Fatalf("trial %d step %d: tampered=%v but refactorized=%v", trial, k, tamper != nil, fell)
+			}
+			if tamper != nil {
+				forced++
+				if f := &kc.lu.fac; f.updates != 0 || kc.lu.shouldRefactor() {
+					t.Fatalf("trial %d step %d: refactorized factor still carries %d updates", trial, k, f.updates)
+				}
+			}
+			if err := kc.check(rng); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, k, err)
+			}
+		}
+	}
+	if forced == 0 {
+		t.Fatal("no tampered update was exercised")
+	}
 }
 
 // TestRefactorFailureLeavesStateIntact: a singular basis found by
@@ -408,7 +495,7 @@ func TestRefactorFailureLeavesStateIntact(t *testing.T) {
 		// The cold path hits the same refactorization: make the
 		// representation stale so the first primal iteration refactors.
 		s.dualOK = false
-		s.inv.(*luBasis).eta.nnz = math.MaxInt32
+		s.inv.(*luBasis).stale = true
 		if _, err := s.Solve(); err == nil {
 			t.Fatalf("trial %d: Solve succeeded on a singular basis", trial)
 		}
@@ -498,7 +585,8 @@ func relaxationLP(in *core.Instance, T float64) (p *Problem, loadRows []int, xVa
 // relaxationFixture is the rounding relaxation of an M=10/N=100/K=8
 // unrelated instance, built at the greedy makespan and bisected warm over
 // eight guesses like the dual search; the backend is left at the optimal
-// basis of the smallest feasible guess, T.
+// basis of the smallest feasible guess, T, after a last re-solve there.
+// verdicts and pivots record the ten solves.
 type relaxationFixture struct {
 	p        *Problem
 	loadRows []int
@@ -506,6 +594,8 @@ type relaxationFixture struct {
 	xP       []float64
 	s        *solverState
 	T        float64
+	verdicts []Status
+	pivots   int
 }
 
 // guess applies makespan guess T to be: clamp x_ij with p_ij > T, load
@@ -543,6 +633,8 @@ func newRelaxationFixture(tb testing.TB) *relaxationFixture {
 		if err != nil {
 			tb.Fatalf("relaxation at T=%g: %v", T, err)
 		}
+		fx.verdicts = append(fx.verdicts, sol.Status)
+		fx.pivots += sol.Iterations
 		return sol.Status
 	}
 	if solve(hi) != Optimal {
@@ -574,16 +666,45 @@ func TestLUFillOnRelaxationBasis(t *testing.T) {
 		t.Fatal(err)
 	}
 	lu := s.inv.(*luBasis)
-	fac, bnz := lu.fac[lu.cur].nnz(), basisNNZ(s)
+	fac, bnz := lu.fac.nnz(), basisNNZ(s)
 	if float64(fac) > 1.5*float64(bnz) {
 		t.Errorf("factor holds %d nonzeros for a %d-nonzero basis (> 1.5x)", fac, bnz)
 	}
 	t.Logf("m=%d: basis %d nonzeros, LU factor %d", s.sf.m, bnz, fac)
 }
 
+// TestFTUpdateEffort bounds the sparse backend's update effort along the
+// fixture's warm trajectory with machine-independent counts: the
+// Forrest–Tomlin updates may store at most 40 nonzeros per pivot (the
+// product-form etas they replaced stored ≈350, one dense B⁻¹a_q each),
+// and the backend may refactorize at most twice per 100 pivots (the
+// product-form file needed ≈6.6). The verdicts must be the ones the
+// trajectory has always produced.
+func TestFTUpdateEffort(t *testing.T) {
+	fx := newRelaxationFixture(t)
+	want := []Status{Optimal, Infeasible, Optimal, Infeasible, Infeasible, Optimal, Infeasible, Optimal, Optimal, Optimal}
+	if fmt.Sprint(fx.verdicts) != fmt.Sprint(want) {
+		t.Fatalf("trajectory verdicts %v, want %v", fx.verdicts, want)
+	}
+	st := fx.s.inv.(*luBasis).stats
+	if st.updates == 0 {
+		t.Fatal("the trajectory took no basis updates")
+	}
+	perPivot := float64(st.updateNNZ) / float64(st.updates)
+	per100 := 100 * float64(st.refactors) / float64(fx.pivots)
+	if perPivot > 40 {
+		t.Errorf("updates stored %.1f nonzeros per pivot, want ≤ 40", perPivot)
+	}
+	if per100 > 2 {
+		t.Errorf("%d refactorizations over %d pivots (%.2f per 100), want ≤ 2", st.refactors, fx.pivots, per100)
+	}
+	t.Logf("m=%d: %d pivots, %d updates storing %.1f nonzeros each, %d refactorizations (%.2f per 100 pivots)",
+		fx.s.sf.m, fx.pivots, st.updates, perPivot, st.refactors, per100)
+}
+
 // TestWorkspaceReuseAllocs: rebuilding a backend on a reused Workspace —
 // NewBackend, Warm, and a Solve that pivots — must not allocate the
-// factor, eta or refactorization storage again; only the backend's own
+// factor, update or refactorization storage again; only the backend's own
 // few headers (state struct, basis and status slices) remain. Warm
 // re-solves of one backend must not allocate at all.
 func TestWorkspaceReuseAllocs(t *testing.T) {
@@ -609,7 +730,7 @@ func TestWorkspaceReuseAllocs(t *testing.T) {
 	round()
 	allocs := testing.AllocsPerRun(5, round)
 	if pivots == 0 {
-		t.Fatal("the re-solve took no pivots: the update etas went unexercised")
+		t.Fatal("the re-solve took no pivots: the basis updates went unexercised")
 	}
 	if allocs > 4 {
 		t.Errorf("rebuild on a reused Workspace allocated %v times per round, want ≤ 4", allocs)
@@ -639,43 +760,124 @@ func TestWorkspaceReuseAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBasisFactor prices the sparse basis kernel on the optimal
-// basis of the M=10/N=100/K=8 rounding relaxation: one refactorization,
-// one ftran of a nonbasic column and one btranUnit per iteration, each
-// reported on its own (refactor_ns, ftran_ns, btran_ns) beside the sizes
-// of the basis matrix and its LU factor.
+// pivotLog wraps a basis representation and records the basis changes a
+// solver drives through it — each update's leaving row and entering
+// column — until the next factorization.
+type pivotLog struct {
+	basisRep
+	col    int
+	pivots []loggedPivot
+	done   bool
+}
+
+type loggedPivot struct{ r, col int }
+
+func (l *pivotLog) ftranColumn(sf *standardForm, j int, w []float64) {
+	l.col = j
+	l.basisRep.ftranColumn(sf, j, w)
+}
+
+func (l *pivotLog) update(r int, w []float64) {
+	if !l.done {
+		l.pivots = append(l.pivots, loggedPivot{r, l.col})
+	}
+	l.basisRep.update(r, w)
+}
+
+func (l *pivotLog) factor(sf *standardForm, cols, rowOf []int, ws *Workspace) error {
+	l.done = true
+	return l.basisRep.factor(sf, cols, rowOf, ws)
+}
+
+// BenchmarkBasisFactor prices the sparse basis kernel on the optimal basis
+// of the M=10/N=100/K=8 rounding relaxation.
+//
+//   - refactor: one refactorization, one ftran of a nonbasic column and
+//     one btranUnit per iteration, each reported on its own (refactor_ns,
+//     ftran_ns, btran_ns) beside the sizes of the basis matrix and its LU
+//     factor.
+//   - update: the Forrest–Tomlin updates of a recorded pivot sequence —
+//     the dual simplex's pivots from that basis towards a 3% tighter
+//     makespan guess, up to its first refactorization — replayed on the
+//     freshly factorized basis, reported per pivot (update_ns, the update
+//     alone; update_nnz, the nonzeros it stored) with the sequence length.
 func BenchmarkBasisFactor(b *testing.B) {
 	fx := newRelaxationFixture(b)
 	s := fx.s
-	var nonbasic []int
-	for j := 0; j < s.sf.nv; j++ {
-		if s.status[j] != basic {
-			nonbasic = append(nonbasic, j)
+	b.Run("refactor", func(b *testing.B) {
+		var nonbasic []int
+		for j := 0; j < s.sf.nv; j++ {
+			if s.status[j] != basic {
+				nonbasic = append(nonbasic, j)
+			}
 		}
-	}
-	y := make([]float64, s.sf.m)
-	var tRef, tF, tB time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if err := s.refactor(); err != nil {
+		y := make([]float64, s.sf.m)
+		var tRef, tF, tB time.Duration
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t0 := time.Now()
+			if err := s.refactor(); err != nil {
+				b.Fatal(err)
+			}
+			t1 := time.Now()
+			s.ftranColumn(nonbasic[i%len(nonbasic)])
+			t2 := time.Now()
+			s.inv.btranUnit(i%s.sf.m, y)
+			t3 := time.Now()
+			tRef += t1.Sub(t0)
+			tF += t2.Sub(t1)
+			tB += t3.Sub(t2)
+		}
+		n := float64(b.N)
+		lu := s.inv.(*luBasis)
+		b.ReportMetric(float64(lu.fac.nnz()), "factor_nnz")
+		b.ReportMetric(float64(basisNNZ(s)), "basis_nnz")
+		b.ReportMetric(float64(tRef.Nanoseconds())/n, "refactor_ns")
+		b.ReportMetric(float64(tF.Nanoseconds())/n, "ftran_ns")
+		b.ReportMetric(float64(tB.Nanoseconds())/n, "btran_ns")
+	})
+	b.Run("update", func(b *testing.B) {
+		// Record on a clone: factorize, then let a warm re-solve pivot.
+		basis0 := append([]int(nil), s.basis...)
+		c := s.Clone().(*solverState)
+		if err := c.refactor(); err != nil {
 			b.Fatal(err)
 		}
-		t1 := time.Now()
-		s.ftranColumn(nonbasic[i%len(nonbasic)])
-		t2 := time.Now()
-		s.inv.btranUnit(i%s.sf.m, y)
-		t3 := time.Now()
-		tRef += t1.Sub(t0)
-		tF += t2.Sub(t1)
-		tB += t3.Sub(t2)
-	}
-	n := float64(b.N)
-	lu := s.inv.(*luBasis)
-	b.ReportMetric(float64(lu.fac[lu.cur].nnz()), "factor_nnz")
-	b.ReportMetric(float64(basisNNZ(s)), "basis_nnz")
-	b.ReportMetric(float64(tRef.Nanoseconds())/n, "refactor_ns")
-	b.ReportMetric(float64(tF.Nanoseconds())/n, "ftran_ns")
-	b.ReportMetric(float64(tB.Nanoseconds())/n, "btran_ns")
+		log := &pivotLog{basisRep: c.inv}
+		c.inv = log
+		fx.guess(c, 0.97*fx.T)
+		if _, err := c.Solve(); err != nil {
+			b.Fatal(err)
+		}
+		if len(log.pivots) == 0 {
+			b.Fatal("the recorded re-solve took no pivots")
+		}
+		lu := s.inv.(*luBasis)
+		v := make([]float64, s.sf.m)
+		var tU time.Duration
+		updates, nnz := 0, 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			copy(s.basis, basis0)
+			if err := s.refactor(); err != nil {
+				b.Fatal(err)
+			}
+			st := lu.stats
+			b.StartTimer()
+			for _, pv := range log.pivots {
+				lu.ftranColumn(&s.sf, pv.col, v)
+				t0 := time.Now()
+				lu.update(pv.r, v)
+				tU += time.Since(t0)
+			}
+			updates += lu.stats.updates - st.updates
+			nnz += lu.stats.updateNNZ - st.updateNNZ
+		}
+		b.ReportMetric(float64(len(log.pivots)), "pivots")
+		b.ReportMetric(float64(tU.Nanoseconds())/float64(updates), "update_ns")
+		b.ReportMetric(float64(nnz)/float64(updates), "update_nnz")
+	})
 }

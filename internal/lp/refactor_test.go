@@ -36,6 +36,11 @@ func (p *productForm) factor(sf *standardForm, cols, rowOf []int, _ *Workspace) 
 	return err
 }
 
+func (p *productForm) ftranColumn(sf *standardForm, j int, w []float64) {
+	sf.loadColumn(j, w)
+	p.ftran(w)
+}
+
 func (p *productForm) btranUnit(r int, y []float64) {
 	for i := range y {
 		y[i] = 0
@@ -368,7 +373,7 @@ func TestRefactorMarkowitzDifferential(t *testing.T) {
 			}
 		}
 		totalBasis += basisNNZ(lu)
-		totalLU += lu.inv.(*luBasis).fac[lu.inv.(*luBasis).cur].nnz()
+		totalLU += lu.inv.(*luBasis).fac.nnz()
 		totalNew += a.inv.(*productForm).nnz
 		totalOld += b.inv.(*productForm).nnz
 		// All factorizations represent the same basis: re-solving from

@@ -7,10 +7,10 @@ import (
 
 // solverState is the revised simplex core shared by every Backend: a
 // bounded-variable simplex method over the canonical standard form, driven
-// through a basisRep (dense explicit inverse, or sparse LU with update
-// etas). It keeps the basis, the nonbasic statuses and the factorization
-// alive between Solve calls, which is what makes warm re-solving after
-// SetRHS / SetVarUpper mutations cheap:
+// through a basisRep (dense explicit inverse, or sparse LU kept current by
+// Forrest–Tomlin updates). It keeps the basis, the nonbasic statuses and
+// the factorization alive between Solve calls, which is what makes warm
+// re-solving after SetRHS / SetVarUpper mutations cheap:
 //
 //   - a cold Solve runs a bound-violation composite phase 1 (no artificial
 //     variables: the all-slack basis is always factorizable and basics are
@@ -272,11 +272,7 @@ func (s *solverState) refactor() error {
 // ftranColumn loads column j in current basis coordinates into ws.w.
 func (s *solverState) ftranColumn(j int) []float64 {
 	w := growF(&s.ws.w, s.sf.m)
-	for i := range w {
-		w[i] = 0
-	}
-	s.sf.scatterColumn(j, 1, w)
-	s.inv.ftran(w)
+	s.inv.ftranColumn(&s.sf, j, w)
 	return w
 }
 

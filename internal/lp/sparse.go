@@ -124,6 +124,12 @@ func (sf *standardForm) scatterColumn(j int, scale float64, v []float64) {
 	}
 }
 
+// loadColumn overwrites the dense vector w with column j.
+func (sf *standardForm) loadColumn(j int, w []float64) {
+	clear(w)
+	sf.scatterColumn(j, 1, w)
+}
+
 // dotColumn returns y·a_j for the dense vector y.
 func (sf *standardForm) dotColumn(j int, y []float64) float64 {
 	if j >= sf.nv {
@@ -154,8 +160,8 @@ func (sf *standardForm) objAt(j int) float64 {
 
 // basisRep abstracts the representation of the basis inverse B⁻¹. The
 // solver core drives it through these operations; the dense backend keeps
-// an explicit m×m inverse, the sparse backend an LU factorization with
-// product-form update etas on top.
+// an explicit m×m inverse, the sparse backend an LU factorization kept
+// current by Forrest–Tomlin updates.
 type basisRep interface {
 	// reset reinstalls the identity (the all-slack basis).
 	reset(m int)
@@ -166,15 +172,21 @@ type basisRep interface {
 	factor(sf *standardForm, cols, rowOf []int, ws *Workspace) error
 	// ftran overwrites v with B⁻¹·v.
 	ftran(v []float64)
+	// ftranColumn overwrites w with B⁻¹·a_j, column j of sf, for a column
+	// that may enter the basis next: the representation may keep
+	// intermediate results for update.
+	ftranColumn(sf *standardForm, j int, w []float64)
 	// btran overwrites y with yᵀ·B⁻¹ (y is treated as a row vector).
 	btran(y []float64)
 	// btranUnit overwrites y with row r of B⁻¹ (eᵣᵀ·B⁻¹).
 	btranUnit(r int, y []float64)
 	// update records a basis change at row r whose entering column, in
-	// current basis coordinates, is w (so w[r] is the pivot element).
+	// current basis coordinates, is w (so w[r] is the pivot element); w
+	// must be what the latest ftranColumn made of the entering column.
 	update(r int, w []float64)
-	// shouldRefactor reports that the representation has grown stale
-	// and a refactorization would pay off.
+	// shouldRefactor reports that the representation must be rebuilt
+	// before its next use (an update lost accuracy) or has grown enough
+	// that a refactorization would pay off.
 	shouldRefactor() bool
 	// clone returns an independent deep copy backed by ws: applying
 	// updates to either copy never perturbs the other (Backend.Clone's
@@ -188,9 +200,9 @@ const etaDropTol = 1e-13
 
 // etaFile is a product-form inverse: E_K···E_1 where each eta matrix E is
 // the identity with column pivRow replaced by the stored entries. ftran
-// applies etas oldest→newest, btran newest→oldest. It is the update file
-// of the sparse backend's luBasis, and the IPM crossover's incremental
-// independence test.
+// applies etas oldest→newest, btran newest→oldest. It is the IPM
+// crossover's incremental independence test (and the tests' product-form
+// reference representation).
 type etaFile struct {
 	m      int
 	pivRow []int32
@@ -263,24 +275,40 @@ func (e *etaFile) update(r int, w []float64) {
 	e.start = append(e.start, int32(len(e.idx)))
 }
 
-// luRefactorRatio is the sparse backend's refactorization trigger: it
-// refactorizes once the update etas hold this many times the factor's
-// nonzeros. Every ftran and btran pays for the factor and the etas, and
-// a refactorization costs a few dozen of them, so eta work saved balances
-// refactorizations paid at a small multiple: on the online-stream bases
-// (≈370 eta nonzeros per pivot) 1–4 measured alike and 8 clearly slower.
-const luRefactorRatio = 2
+// The sparse backend refactorizes after luMaxUpdates Forrest–Tomlin
+// updates, or sooner once the updated factor holds luGrowthRatio times
+// the nonzeros it had when factorized (the guard against an unusually
+// dense run of spikes). Each update stores its spike column and a row eta,
+// and later spikes pick up one entry from most earlier row etas, so an
+// update's storage grows with the chain: on the M=10/N=100/K=8 relaxation
+// (m=1110, factor ≈2.5k nonzeros) from ≈30 nonzeros right after a
+// refactorization to ≈60 at 55 updates, ≈39 on average. Much longer
+// chains make every solve pay for that growth, much shorter ones pay for
+// refactorizations instead.
+const (
+	luMaxUpdates  = 55
+	luGrowthRatio = 2
+)
+
+// luStats counts a luBasis's effort since the Workspace was created.
+type luStats struct {
+	updates   int // Forrest–Tomlin updates
+	updateNNZ int // nonzeros those updates stored (spike columns + row etas)
+	refactors int // successful factorizations
+}
 
 // luBasis is the sparse backend's basis representation: a sparse LU
-// factorization of the basis at the last refactorization, with the
-// product-form etas of every pivot since, B⁻¹ = E_k···E_1·U⁻¹L⁻¹. It lives
-// in the Workspace, so a backend rebuilt on a reused Workspace reuses the
-// factor and eta storage. fac[cur] is the live factor; a refactorization
-// factors into the other and swaps only on success.
+// factorization of the basis, kept current by Forrest–Tomlin updates
+// (luFactor.update) until a refactorization. It lives in the Workspace,
+// so a backend rebuilt on a reused Workspace reuses the factor and update
+// storage. A failed refactorization leaves the factor as it was.
 type luBasis struct {
-	fac [2]luFactor
-	cur int
-	eta etaFile
+	fac    luFactor
+	sp     spikeBuf // the spike of the latest ftranColumn
+	spiked bool     // sp is unconsumed by an update
+	sc     ftScratch
+	stale  bool // an update failed its stability check
+	stats  luStats
 }
 
 // sparseRep returns ws's luBasis, reset to the identity for m rows.
@@ -289,29 +317,50 @@ func (ws *Workspace) sparseRep(m int) *luBasis {
 	return &ws.lu
 }
 
+// size readies the update buffers for m rows.
+func (b *luBasis) size(m int) {
+	b.sp.size(m)
+	b.sc.z = growF(&b.sc.z, m)
+	for i := range b.sc.z {
+		b.sc.z[i] = 0
+	}
+	b.spiked, b.stale = false, false
+}
+
 func (b *luBasis) reset(m int) {
-	b.fac[b.cur].identity(m)
-	b.eta.reset(m)
+	b.fac.identity(m)
+	b.size(m)
 }
 
 func (b *luBasis) factor(sf *standardForm, cols, rowOf []int, ws *Workspace) error {
-	if err := b.fac[1-b.cur].factorize(sf, cols, rowOf, &ws.luSc); err != nil {
+	if err := b.fac.factorize(sf, cols, rowOf, &ws.luSc); err != nil {
 		return err
 	}
-	b.cur = 1 - b.cur
-	b.eta.reset(sf.m)
+	b.size(sf.m)
+	b.stats.refactors++
 	return nil
 }
 
-func (b *luBasis) ftran(v []float64) {
-	b.fac[b.cur].ftran(v)
-	b.eta.ftran(v)
+func (b *luBasis) ftran(v []float64) { b.fac.ftran(v, nil) }
+
+func (b *luBasis) ftranColumn(sf *standardForm, j int, w []float64) {
+	clear(w)
+	sp := &b.sp
+	sp.begin()
+	if j >= sf.nv {
+		w[j-sf.nv] = 1
+		sp.note(int32(j - sf.nv))
+	} else {
+		for k := sf.colPtr[j]; k < sf.colPtr[j+1]; k++ {
+			w[sf.colRow[k]] += sf.colVal[k]
+			sp.note(sf.colRow[k])
+		}
+	}
+	b.fac.ftran(w, sp)
+	b.spiked = true
 }
 
-func (b *luBasis) btran(y []float64) {
-	b.eta.btran(y)
-	b.fac[b.cur].btran(y)
-}
+func (b *luBasis) btran(y []float64) { b.fac.btran(y) }
 
 func (b *luBasis) btranUnit(r int, y []float64) {
 	for i := range y {
@@ -321,16 +370,29 @@ func (b *luBasis) btranUnit(r int, y []float64) {
 	b.btran(y)
 }
 
-func (b *luBasis) update(r int, w []float64) { b.eta.update(r, w) }
+func (b *luBasis) update(r int, w []float64) {
+	if !b.spiked {
+		panic("lp: basis update without the entering column's ftranColumn")
+	}
+	b.spiked = false
+	f := &b.fac
+	nr := len(f.R.idx)
+	if !f.update(int32(r), &b.sp, w[r], &b.sc) {
+		b.stale = true
+	}
+	b.stats.updates++
+	b.stats.updateNNZ += len(f.R.idx) - nr + int(f.uc.n[r])
+}
 
 func (b *luBasis) shouldRefactor() bool {
-	return b.eta.nnz > luRefactorRatio*b.fac[b.cur].nnz()
+	f := &b.fac
+	return b.stale || f.updates >= luMaxUpdates || f.nnz() > luGrowthRatio*f.nnz0
 }
 
 func (b *luBasis) clone(ws *Workspace) basisRep {
 	c := &ws.lu
-	c.cur = 0
-	c.fac[0].copyFrom(&b.fac[b.cur])
-	c.eta.copyFrom(&b.eta)
+	c.fac.copyFrom(&b.fac)
+	c.size(b.fac.m)
+	c.stale = b.stale
 	return c
 }

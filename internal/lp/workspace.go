@@ -1,10 +1,10 @@
 package lp
 
 // Workspace holds every per-solve buffer a backend needs — work vectors,
-// the standard-form arrays, the sparse basis factorization and its update
-// etas, refactorization scratch, the solution vector — as grow-only
-// slices, so that building a backend and re-solving it repeatedly
-// allocates (almost) nothing after the first use. A
+// the standard-form arrays, the sparse basis factorization and its
+// update storage, refactorization scratch, the solution vector — as
+// grow-only slices, so that building a backend and re-solving it
+// repeatedly allocates (almost) nothing after the first use. A
 // Workspace can be handed to successive NewBackend calls (e.g. one per
 // makespan guess, or a cold rebuild after a warm-start failure) to recycle
 // the memory across problem instances of similar shape.
@@ -24,7 +24,8 @@ type Workspace struct {
 	// pivoted in
 	newBasis, rowOf []int
 	luSc            luScratch
-	// the sparse backend's basis representation (LU factor + update etas)
+	// the sparse backend's basis representation (LU factor + Forrest–Tomlin
+	// update storage)
 	lu luBasis
 }
 
